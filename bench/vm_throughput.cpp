@@ -33,10 +33,11 @@
 // (pool boots/reuses, fork/reboot dirty pages).
 //
 // --max-obs-overhead P is the telemetry idle-cost gate: it A/Bs threaded
-// steps/sec with tracing off vs globally enabled (best-of-3 each; the VM
-// hot loop carries no span sites, so "enabled" must cost nothing there)
-// and exits nonzero if the regression exceeds P percent. The measurement
-// lands in BENCH_vm.json's "obs" block either way.
+// steps/sec with tracing off vs globally enabled (61 interleaved off/on
+// window pairs after a warm-up; the VM hot loop carries no span sites, so
+// "enabled" must cost nothing there) and exits nonzero if the median
+// pair's regression exceeds P percent. That median, each side's median
+// steps/sec and their IQRs land in BENCH_vm.json's "obs" block either way.
 
 #include <algorithm>
 #include <chrono>
@@ -116,14 +117,50 @@ double measure_steps_per_sec(vm::dispatch_mode mode, std::uint64_t steps) {
     return static_cast<double>(spinner.steps()) / secs;
 }
 
-// Best-of-N: the obs overhead gate compares two near-identical code paths,
-// so each side gets its least-noisy run.
-double best_steps_per_sec(vm::dispatch_mode mode, std::uint64_t steps,
-                          int reps) {
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r)
-        best = std::max(best, measure_steps_per_sec(mode, steps));
-    return best;
+// The telemetry idle-cost A/B: after one warm-up window, `pairs`
+// interleaved tracing-off/on window pairs of the threaded spinner. The two
+// sides run near-identical code, so the comparison must beat host noise:
+// the gated figure is the median over pairs of each pair's overhead, so a
+// host that drifts between pairs cancels within each pair and a burst that
+// hits one window is outvoted. Each side's median and IQR are reported too.
+struct obs_ab {
+    int pairs = 0;
+    double off_median = 0.0;
+    double on_median = 0.0;
+    double off_iqr = 0.0;
+    double on_iqr = 0.0;
+    double overhead_percent = 0.0;  // median over pairs
+    double overhead_iqr = 0.0;
+};
+
+obs_ab measure_obs_overhead(std::uint64_t steps, int pairs) {
+    (void)measure_steps_per_sec(vm::dispatch_mode::threaded, steps);  // warm-up
+    std::vector<double> off;
+    std::vector<double> on;
+    for (int i = 0; i < pairs; ++i) {
+        // Alternate which side of a pair runs first.
+        for (const bool tracing : {i % 2 == 1, i % 2 == 0}) {
+            obs::enable_tracing(tracing);
+            (tracing ? on : off)
+                .push_back(measure_steps_per_sec(vm::dispatch_mode::threaded, steps));
+        }
+    }
+    obs::enable_tracing(false);
+    std::vector<double> overhead;
+    for (std::size_t i = 0; i < off.size(); ++i)
+        overhead.push_back(100.0 * (off[i] - on[i]) / off[i]);
+    const auto iqr = [](const std::vector<double>& xs) {
+        return util::quantile(xs, 0.75) - util::quantile(xs, 0.25);
+    };
+    obs_ab ab;
+    ab.pairs = pairs;
+    ab.off_median = util::quantile(off, 0.5);
+    ab.on_median = util::quantile(on, 0.5);
+    ab.off_iqr = iqr(off);
+    ab.on_iqr = iqr(on);
+    ab.overhead_percent = util::quantile(overhead, 0.5);
+    ab.overhead_iqr = iqr(overhead);
+    return ab;
 }
 
 // Runs the spinner once with a vm::exec_profile attached and prints the
@@ -253,7 +290,8 @@ void usage(const char* argv0) {
                  "                   superinstructions) + proc obs counters\n"
                  "  --max-obs-overhead P  fail if enabling telemetry costs the\n"
                  "                   threaded interpreter more than P%% in\n"
-                 "                   steps/sec (best-of-3 A/B; idle gate)\n",
+                 "                   steps/sec (median of 61 interleaved A/B\n"
+                 "                   window pairs; idle gate)\n",
                  argv0);
 }
 
@@ -349,23 +387,15 @@ int main(int argc, char** argv) {
     // The VM hot loop has no span or counter sites, so flipping the global
     // tracing switch must not move steps/sec. Measured whenever the gate
     // or the JSON is requested; gate applied at the end.
-    double obs_overhead_percent = 0.0;
-    double traced_steps_per_sec = 0.0;
-    double idle_steps_per_sec = 0.0;
+    obs_ab obs_cost;
     if (max_obs_overhead >= 0.0 || json_path != nullptr) {
-        idle_steps_per_sec =
-            best_steps_per_sec(vm::dispatch_mode::threaded, steps, 3);
-        obs::enable_tracing(true);
-        traced_steps_per_sec =
-            best_steps_per_sec(vm::dispatch_mode::threaded, steps, 3);
-        obs::enable_tracing(false);
-        obs_overhead_percent =
-            100.0 * (idle_steps_per_sec - traced_steps_per_sec) /
-            idle_steps_per_sec;
-        std::printf("telemetry idle overhead: %.2f%% (tracing off %.2fM, "
-                    "tracing on %.2fM steps/sec)\n\n",
-                    obs_overhead_percent, idle_steps_per_sec / 1e6,
-                    traced_steps_per_sec / 1e6);
+        obs_cost = measure_obs_overhead(steps, 61);
+        std::printf("telemetry idle overhead: %.2f%% (median of %d interleaved "
+                    "off/on window pairs, IQR %.2f points; tracing off %.2fM, "
+                    "IQR %.2fM; tracing on %.2fM, IQR %.2fM steps/sec)\n\n",
+                    obs_cost.overhead_percent, obs_cost.pairs, obs_cost.overhead_iqr,
+                    obs_cost.off_median / 1e6, obs_cost.off_iqr / 1e6,
+                    obs_cost.on_median / 1e6, obs_cost.on_iqr / 1e6);
     }
 
     if (profile) print_profile(steps);
@@ -390,7 +420,7 @@ int main(int argc, char** argv) {
 
     std::ostringstream json;
     json << "{\n  \"bench\": \"vm_throughput\",\n";
-    char buf[200];
+    char buf[256];
     std::snprintf(buf, sizeof buf,
                   "  \"steps\": %llu,\n  \"steps_per_sec\": %.0f,\n",
                   static_cast<unsigned long long>(steps), steps_per_sec);
@@ -404,13 +434,15 @@ int main(int argc, char** argv) {
                       dispatch_ratio);
         json << buf;
     }
-    if (idle_steps_per_sec > 0.0) {
+    if (obs_cost.pairs > 0) {
         std::snprintf(buf, sizeof buf,
-                      "  \"obs\": {\"idle_steps_per_sec\": %.0f, "
-                      "\"traced_steps_per_sec\": %.0f, "
-                      "\"idle_overhead_percent\": %.2f},\n",
-                      idle_steps_per_sec, traced_steps_per_sec,
-                      obs_overhead_percent);
+                      "  \"obs\": {\"window_pairs\": %d, \"idle_steps_per_sec\": %.0f, "
+                      "\"idle_iqr\": %.0f, \"traced_steps_per_sec\": %.0f, "
+                      "\"traced_iqr\": %.0f, \"idle_overhead_percent\": %.2f, "
+                      "\"idle_overhead_iqr\": %.2f},\n",
+                      obs_cost.pairs, obs_cost.off_median, obs_cost.off_iqr,
+                      obs_cost.on_median, obs_cost.on_iqr, obs_cost.overhead_percent,
+                      obs_cost.overhead_iqr);
         json << buf;
     }
     std::snprintf(buf, sizeof buf, "  \"boot_trials\": %llu,\n  \"cells\": [\n",
@@ -442,10 +474,10 @@ int main(int argc, char** argv) {
         }
     }
 
-    if (max_obs_overhead >= 0.0 && obs_overhead_percent > max_obs_overhead) {
+    if (max_obs_overhead >= 0.0 && obs_cost.overhead_percent > max_obs_overhead) {
         std::fprintf(stderr,
                      "FAIL: telemetry idle overhead %.2f%% > allowed %.2f%%\n",
-                     obs_overhead_percent, max_obs_overhead);
+                     obs_cost.overhead_percent, max_obs_overhead);
         return 1;
     }
     if (min_steps_ratio > 0.0 && dispatch_ratio < min_steps_ratio) {

@@ -11,12 +11,10 @@ std::vector<std::uint8_t> craft_canary_bytes(core::scheme_kind kind,
                                              std::uint64_t guessed_c,
                                              crypto::xoshiro256& rng,
                                              std::uint32_t dcr_offset) {
-    std::vector<std::uint8_t> bytes;
-    auto push64 = [&bytes](std::uint64_t v) {
-        std::uint8_t w[8];
-        util::store_le64(w, v);
-        bytes.insert(bytes.end(), w, w + 8);
-    };
+    // The canary slot words, lowest address first.
+    std::uint64_t words[2];
+    std::size_t count = 0;
+    auto push64 = [&](std::uint64_t v) { words[count++] = v; };
 
     switch (kind) {
         case core::scheme_kind::ssp:
@@ -53,6 +51,9 @@ std::vector<std::uint8_t> craft_canary_bytes(core::scheme_kind kind,
                 "craft_canary_bytes: no byte-crafting model for scheme " +
                 core::to_string(kind)};
     }
+    std::vector<std::uint8_t> bytes(8 * count);
+    for (std::size_t i = 0; i < count; ++i)
+        util::store_le64(std::span{bytes}.subspan(8 * i, 8), words[i]);
     return bytes;
 }
 

@@ -1,5 +1,8 @@
 #include "binfmt/stdlib.hpp"
 
+#include <cstdint>
+#include <cstring>
+
 #include "crypto/aes128.hpp"
 #include "crypto/one_way.hpp"
 #include "vm/machine.hpp"
@@ -48,11 +51,25 @@ void strcpy_impl(vm::machine& m) {
     m.charge(2 * i + 4);
 }
 
+// memcpy and memset resolve the whole range once and copy it with one host
+// call. When a range is not mapped end to end — or a memcpy destination
+// starts inside (src, src+len), where the forward byte copy replicates the
+// source pattern instead of moving it — they fall back to the byte loop,
+// which faults at the first bad byte after writing every byte before it.
+// Both paths leave the same bytes, dirty pages, fault address, rax and
+// cycle charge.
 void memcpy_impl(vm::machine& m) {
     const std::uint64_t dst = m.get(reg::rdi);
     const std::uint64_t src = m.get(reg::rsi);
     const std::uint64_t len = m.get(reg::rdx);
-    for (std::uint64_t i = 0; i < len; ++i) m.mem().store8(dst + i, m.mem().load8(src + i));
+    auto& mem = m.mem();
+    const std::uint8_t* from = mem.try_at(src, len);
+    std::uint8_t* to = from != nullptr ? mem.try_at_mut(dst, len) : nullptr;
+    if (to != nullptr && !(to > from && static_cast<std::uint64_t>(to - from) < len)) {
+        std::memmove(to, from, len);
+    } else {
+        for (std::uint64_t i = 0; i < len; ++i) mem.store8(dst + i, mem.load8(src + i));
+    }
     m.set(reg::rax, dst);
     m.charge(2 * len + 4);
 }
@@ -61,7 +78,12 @@ void memset_impl(vm::machine& m) {
     const std::uint64_t dst = m.get(reg::rdi);
     const auto value = static_cast<std::uint8_t>(m.get(reg::rsi));
     const std::uint64_t len = m.get(reg::rdx);
-    for (std::uint64_t i = 0; i < len; ++i) m.mem().store8(dst + i, value);
+    auto& mem = m.mem();
+    if (std::uint8_t* to = mem.try_at_mut(dst, len)) {
+        std::memset(to, value, len);
+    } else {
+        for (std::uint64_t i = 0; i < len; ++i) mem.store8(dst + i, value);
+    }
     m.set(reg::rax, dst);
     m.charge(len + 4);
 }

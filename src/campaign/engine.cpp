@@ -200,8 +200,15 @@ std::vector<cell_partial> engine::run_blocks(std::span<const block_ref> blocks) 
             throw std::invalid_argument{
                 "campaign::engine: block cell index out of range"};
 
+    // Canonical trial order: the blocks as given, each block's trials in
+    // order. begin[bi] is block bi's first position in it.
+    std::vector<std::uint64_t> begin(blocks.size() + 1, 0);
+    for (std::size_t bi = 0; bi < blocks.size(); ++bi)
+        begin[bi + 1] = begin[bi] + blocks[bi].trials;
+    const std::uint64_t total = begin.back();
+
     const unsigned jobs = static_cast<unsigned>(std::min<std::uint64_t>(
-        resolve_jobs(spec_.jobs), std::max<std::uint64_t>(blocks.size(), 1)));
+        resolve_jobs(spec_.jobs), std::max<std::uint64_t>(total, 1)));
 
     // One victim build per (target, scheme), but only for the pairs these
     // blocks actually touch — a shard owning 3 of 18 blocks must not pay
@@ -225,49 +232,83 @@ std::vector<cell_partial> engine::run_blocks(std::span<const block_ref> blocks) 
                                  ids[b.cell].attack, &*victims_[vi]};
     }
 
-    std::uint64_t total = 0;
-    for (const auto& b : blocks) total += b.trials;
+    // A block's trial results, held until its last trial finishes. The
+    // buffer is allocated by the first trial to finish and freed by the
+    // reducing thread, so only blocks in flight hold one.
+    struct block_slot {
+        std::atomic<std::uint64_t> pending{0};
+        std::atomic<trial_result*> results{nullptr};
+        ~block_slot() { delete[] results.load(std::memory_order_relaxed); }
+    };
+    std::vector<block_slot> slots(blocks.size());
+    for (std::size_t bi = 0; bi < blocks.size(); ++bi)
+        slots[bi].pending.store(blocks[bi].trials, std::memory_order_relaxed);
 
     std::vector<cell_partial> partials(blocks.size());
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> done{0};
-    std::mutex error_mutex;
+    std::atomic<std::uint64_t> next{0};
+    std::mutex mutex;  // guards first_error, completed and progress_ calls
     std::string first_error;
+    std::uint64_t completed = 0;
     std::atomic<bool> failed{false};
 
-    // Work-stealing at block granularity: one worker reduces a whole block
-    // with sequential add()s in trial order, so the block's partial is a
-    // pure function of (master_seed, block) — never of scheduling.
+    // Work sharing at trial granularity: threads claim single trials in
+    // canonical order, so a long block no longer runs alone at the end.
+    // The thread that finishes a block's last trial reduces the block with
+    // sequential add()s in trial order, so the block's partial is a pure
+    // function of (master_seed, block) — never of scheduling.
     auto worker = [&] {
+        std::size_t bi = 0;
+        // One span per contiguous run of one block's trials on this
+        // thread — a no-op when tracing is off, one ring write when on.
+        std::optional<obs::span> sp;
+        std::size_t sp_block = blocks.size();
         for (;;) {
-            const std::size_t bi = next.fetch_add(1, std::memory_order_relaxed);
-            if (bi >= blocks.size() || failed.load(std::memory_order_relaxed))
-                return;
+            if (failed.load(std::memory_order_relaxed)) return;
+            const std::uint64_t k = next.fetch_add(1, std::memory_order_relaxed);
+            if (k >= total) return;
+            while (k >= begin[bi + 1]) ++bi;  // claims only move forward
             const auto& block = blocks[bi];
-            const auto& cell = cells[block.cell];
-            // One span per trial batch (the canonical reduction block) —
-            // a no-op when tracing is off, one ring write when on.
-            obs::span sp{"block", "campaign",
-                         static_cast<std::int64_t>(block.index)};
-            for (std::uint64_t t = 0; t < block.trials; ++t) {
-                const std::uint64_t g = block.first_trial + t;
-                try {
-                    partials[bi].add(run_trial(
-                        cell, spec_, seeds_for_trial(spec_.master_seed, g)));
-                } catch (const std::exception& e) {
-                    std::lock_guard lock{error_mutex};
-                    if (first_error.empty())
-                        first_error = std::string{"trial "} + std::to_string(g) +
-                                      ": " + e.what();
-                    failed.store(true, std::memory_order_relaxed);
-                    return;
+            if (sp_block != bi) {
+                sp.reset();
+                sp.emplace("block", "campaign", static_cast<std::int64_t>(block.index));
+                sp_block = bi;
+            }
+            const std::uint64_t t = k - begin[bi];
+            const std::uint64_t g = block.first_trial + t;
+            trial_result result;
+            try {
+                result = run_trial(cells[block.cell], spec_,
+                                   seeds_for_trial(spec_.master_seed, g));
+            } catch (const std::exception& e) {
+                std::lock_guard lock{mutex};
+                if (first_error.empty())
+                    first_error = std::string{"trial "} + std::to_string(g) +
+                                  ": " + e.what();
+                failed.store(true, std::memory_order_relaxed);
+                return;
+            }
+            auto& slot = slots[bi];
+            trial_result* buf = slot.results.load(std::memory_order_acquire);
+            if (buf == nullptr) {
+                auto* fresh = new trial_result[block.trials];
+                if (slot.results.compare_exchange_strong(
+                        buf, fresh, std::memory_order_acq_rel,
+                        std::memory_order_acquire)) {
+                    buf = fresh;
+                } else {
+                    delete[] fresh;
                 }
-                const std::uint64_t completed =
-                    done.fetch_add(1, std::memory_order_relaxed) + 1;
-                if (progress_) {
-                    std::lock_guard lock{error_mutex};
-                    progress_(completed, total);
-                }
+            }
+            buf[t] = result;
+            // acq_rel: the last finisher sees every other trial's result.
+            if (slot.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+                for (std::uint64_t i = 0; i < block.trials; ++i)
+                    partials[bi].add(buf[i]);
+                delete[] slot.results.exchange(nullptr, std::memory_order_relaxed);
+            }
+            if (progress_) {
+                std::lock_guard lock{mutex};
+                progress_(++completed, total);
             }
         }
     };

@@ -2,13 +2,15 @@
 //
 // Execution model: the spec's cross product is flattened into one global
 // trial index space (cell-major), grouped into canonical reduction blocks
-// (campaign::blocks_for). A fixed pool of host threads pops *blocks* off
-// an atomic counter; each trial derives two independent PRNG streams
-// (server-side and attacker-side) purely from (master_seed, global trial
-// index) via splitmix64, boots its own fork server from the cell's shared
-// victim build, runs one attack strategy, and add()s its record into the
-// block's mergeable partial — sequentially, in trial order. Block partials
-// then merge in canonical order (campaign::assemble_report). Nothing
+// (campaign::blocks_for). A fixed pool of host threads claims single
+// *trials*, in canonical order, off one atomic counter; each trial derives
+// two independent PRNG streams (server-side and attacker-side) purely from
+// (master_seed, global trial index) via splitmix64, boots its own fork
+// server from the cell's shared victim build, and runs one attack
+// strategy. Its record lands in its block's buffer, and whichever thread
+// finishes a block's last trial add()s the whole block into the block's
+// mergeable partial — sequentially, in trial order. Block partials then
+// merge in canonical order (campaign::assemble_report). Nothing
 // observable depends on scheduling, so a 10k-trial campaign is
 // bit-reproducible at any --jobs level — and, because a dist/ shard runs
 // the same blocks through the same run_blocks() path, at any process
@@ -55,16 +57,19 @@ class engine {
 
     // Runs exactly the given blocks (a subset of blocks_for(spec), any
     // order) and returns their mergeable partials, index-aligned with
-    // `blocks`. Each block is reduced by one worker with sequential add()s
-    // in trial order; trial seeds derive from the *global* trial index, so
-    // which process or thread runs a block never shows in its partial.
+    // `blocks`. Threads share the blocks' trials one at a time; each
+    // block is reduced with sequential add()s in trial order by the thread
+    // that finishes its last trial, and trial seeds derive from the
+    // *global* trial index, so which process or thread ran a trial never
+    // shows in a partial. Only the blocks in flight hold a result buffer.
     // This is the unit of work a dist/ shard executes. Victims are built
     // only for the cells the blocks actually touch.
     [[nodiscard]] std::vector<cell_partial> run_blocks(
         std::span<const block_ref> blocks);
 
     // Optional observer, called after every finished trial with
-    // (completed, total). Invoked under a mutex from worker threads. In an
+    // (completed, total). Invoked under a mutex from worker threads, with
+    // `completed` strictly increasing up to `total`. In an
     // adaptive run `total` is the current round's trial count — the
     // campaign total is unknowable before the last round by construction.
     void set_progress(std::function<void(std::uint64_t, std::uint64_t)> fn) {

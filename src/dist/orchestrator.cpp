@@ -104,7 +104,7 @@ void write_postmortem(const sharded_options& options, const std::string& worker,
                       "\",\n  \"argv\": [";
     for (std::size_t i = 0; i < job.args.size(); ++i) {
         if (i != 0) doc += ", ";
-        doc += "\"" + util::json_escape(job.args[i]) + "\"";
+        doc.append("\"").append(util::json_escape(job.args[i])).append("\"");
     }
     doc += "],\n  \"error\": \"" + util::json_escape(rec.why) +
            "\",\n  \"raw_wait_status\": " + std::to_string(rec.wait_status) +

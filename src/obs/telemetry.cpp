@@ -4,9 +4,39 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace pssp::obs {
+
+namespace {
+
+// Retries EINTR and short writes (a short write is possible only against
+// a pipe or on ENOSPC); false with errno set on failure.
+bool write_fully(int fd, const std::string& bytes) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+        if (n > 0) {
+            off += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno == EINTR) continue;
+        return false;
+    }
+    return true;
+}
+
+int open_truncated(const std::string& path) {
+    int fd = -1;
+    while ((fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND,
+                        0644)) < 0 &&
+           errno == EINTR) {
+    }
+    return fd;
+}
+
+}  // namespace
 
 telemetry_writer::~telemetry_writer() {
     if (fd_ >= 0 && owned_) ::close(fd_);
@@ -18,41 +48,59 @@ bool telemetry_writer::open(const std::string& path) {
         owned_ = false;
         return true;
     }
-    int fd = -1;
-    while ((fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND,
-                        0644)) < 0 &&
-           errno == EINTR) {
-    }
+    const int fd = open_truncated(path);
     if (fd < 0) {
         std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
         return false;
     }
+    struct stat st {};
     fd_ = fd;
     owned_ = true;
+    regular_ = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    path_ = path;
+    contents_.clear();
+    return true;
+}
+
+bool telemetry_writer::append_by_rename(const std::string& line) {
+    const std::string tmp = path_ + ".tmp";
+    const int fd = open_truncated(tmp);
+    if (fd < 0) return false;
+    if (!write_fully(fd, contents_) || !write_fully(fd, line) ||
+        ::rename(tmp.c_str(), path_.c_str()) != 0) {
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return false;
+    }
+    ::close(fd_);
+    fd_ = fd;
     return true;
 }
 
 void telemetry_writer::append(const round_summary& round) {
     if (fd_ < 0) return;
-    // The whole line, newline included, as one write(2): a concurrent
-    // reader sees the line complete or not at all, never torn. A short
-    // write (possible only against a pipe/ENOSPC) falls back to resuming
-    // at the cut — at that point atomicity is already lost and durability
-    // wins.
     auto line = round_summary_json(round);
     line += '\n';
-    std::size_t off = 0;
-    while (off < line.size()) {
-        const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
+    if (regular_) {
+        // Bytes [size, size + len) touch more than one page: appending
+        // in place would let a reader see the line cut at the boundary.
+        static const auto page =
+            static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+        const std::size_t size = contents_.size();
+        const bool crosses = size / page != (size + line.size() - 1) / page;
+        if (crosses && append_by_rename(line)) {
+            contents_ += line;
+            return;
         }
-        if (n < 0 && errno == EINTR) continue;
+        // A failed rename falls back to the in-place append: atomicity is
+        // lost for this line, the record is not.
+    }
+    if (!write_fully(fd_, line)) {
         std::fprintf(stderr, "telemetry: write failed (%s)\n",
                      std::strerror(errno));
         return;
     }
+    if (regular_) contents_ += line;
 }
 
 std::string round_summary_json(const round_summary& round) {

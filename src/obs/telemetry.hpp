@@ -60,12 +60,20 @@ struct round_summary {
 };
 
 // Appending JSONL writer; one line per round so a killed run keeps every
-// completed round's record. Each line (including its trailing newline)
-// goes down in a single write(2) on an unbuffered fd, so a concurrent
-// tailer — `campaign_query --follow`, `tail -f`, the store ingester —
-// never observes a torn line: POSIX appends of one write are atomic with
-// respect to readers seeing a prefix of the data, and a line is either
+// completed round's record. A reader that opens the file by name (a
+// polling tailer, `tail -F`) never observes a torn line: a line is either
 // entirely present (newline and all) or entirely absent.
+//
+// A single write(2) alone does not give that: Linux grows a regular
+// file's size one page at a time while the write copies, and a buffered
+// read takes no lock against it, so a line crossing a page boundary can
+// be seen cut at the boundary. A line that stays inside the current page
+// therefore goes down as one write(2) on an unbuffered fd (one size
+// update), and a line that would cross a boundary is appended to a copy
+// of the file, `<path>.tmp`, renamed over `<path>`; later lines go to the
+// new file. Readers holding the old descriptor (`tail -f`) stop at the
+// last line before the rename. Non-regular targets (stderr, a pipe) get
+// plain single-write appends.
 class telemetry_writer {
   public:
     telemetry_writer() = default;
@@ -81,8 +89,15 @@ class telemetry_writer {
     void append(const round_summary& round);
 
   private:
+    // Appends `line` through `<path>.tmp` + rename; false if any step
+    // failed (the named file is then unchanged).
+    bool append_by_rename(const std::string& line);
+
     int fd_ = -1;
     bool owned_ = false;  // false when writing to stderr
+    bool regular_ = false;  // a regular file: page crossings go by rename
+    std::string path_;
+    std::string contents_;  // every byte written so far, when regular_
 };
 
 // The JSON line (no trailing newline); exposed for tests.

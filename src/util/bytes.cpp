@@ -1,44 +1,8 @@
 #include "util/bytes.hpp"
 
-#include <cassert>
 #include <cstdio>
 
 namespace pssp::util {
-
-std::uint16_t load_le16(std::span<const std::uint8_t> bytes) {
-    assert(bytes.size() >= 2);
-    return static_cast<std::uint16_t>(bytes[0] | (std::uint16_t{bytes[1]} << 8));
-}
-
-std::uint32_t load_le32(std::span<const std::uint8_t> bytes) {
-    assert(bytes.size() >= 4);
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i) v |= std::uint32_t{bytes[i]} << (8 * i);
-    return v;
-}
-
-std::uint64_t load_le64(std::span<const std::uint8_t> bytes) {
-    assert(bytes.size() >= 8);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i) v |= std::uint64_t{bytes[i]} << (8 * i);
-    return v;
-}
-
-void store_le16(std::span<std::uint8_t> bytes, std::uint16_t value) {
-    assert(bytes.size() >= 2);
-    bytes[0] = static_cast<std::uint8_t>(value);
-    bytes[1] = static_cast<std::uint8_t>(value >> 8);
-}
-
-void store_le32(std::span<std::uint8_t> bytes, std::uint32_t value) {
-    assert(bytes.size() >= 4);
-    for (unsigned i = 0; i < 4; ++i) bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-void store_le64(std::span<std::uint8_t> bytes, std::uint64_t value) {
-    assert(bytes.size() >= 8);
-    for (unsigned i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
 
 void append_hex16(std::string& out, std::uint64_t value) {
     static const char digits[] = "0123456789abcdef";

@@ -4,6 +4,7 @@
 // starting from its lowest-addressed (least significant) byte.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -13,14 +14,43 @@
 namespace pssp::util {
 
 // Reads a little-endian u16/u32/u64 from `bytes` (must be large enough).
-[[nodiscard]] std::uint16_t load_le16(std::span<const std::uint8_t> bytes);
-[[nodiscard]] std::uint32_t load_le32(std::span<const std::uint8_t> bytes);
-[[nodiscard]] std::uint64_t load_le64(std::span<const std::uint8_t> bytes);
+// Defined here so every guest load and store in the interpreter inlines
+// to a single host access (GCC and Clang fold the shift-or loops).
+[[nodiscard]] inline std::uint16_t load_le16(std::span<const std::uint8_t> bytes) {
+    assert(bytes.size() >= 2);
+    return static_cast<std::uint16_t>(bytes[0] | (std::uint16_t{bytes[1]} << 8));
+}
+
+[[nodiscard]] inline std::uint32_t load_le32(std::span<const std::uint8_t> bytes) {
+    assert(bytes.size() >= 4);
+    std::uint32_t v = 0;
+    for (unsigned i = 0; i < 4; ++i) v |= std::uint32_t{bytes[i]} << (8 * i);
+    return v;
+}
+
+[[nodiscard]] inline std::uint64_t load_le64(std::span<const std::uint8_t> bytes) {
+    assert(bytes.size() >= 8);
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i) v |= std::uint64_t{bytes[i]} << (8 * i);
+    return v;
+}
 
 // Writes a little-endian u16/u32/u64 into `bytes` (must be large enough).
-void store_le16(std::span<std::uint8_t> bytes, std::uint16_t value);
-void store_le32(std::span<std::uint8_t> bytes, std::uint32_t value);
-void store_le64(std::span<std::uint8_t> bytes, std::uint64_t value);
+inline void store_le16(std::span<std::uint8_t> bytes, std::uint16_t value) {
+    assert(bytes.size() >= 2);
+    bytes[0] = static_cast<std::uint8_t>(value);
+    bytes[1] = static_cast<std::uint8_t>(value >> 8);
+}
+
+inline void store_le32(std::span<std::uint8_t> bytes, std::uint32_t value) {
+    assert(bytes.size() >= 4);
+    for (unsigned i = 0; i < 4; ++i) bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+inline void store_le64(std::span<std::uint8_t> bytes, std::uint64_t value) {
+    assert(bytes.size() >= 8);
+    for (unsigned i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
 
 // Extracts byte `index` (0 = least significant) of `value`.
 [[nodiscard]] constexpr std::uint8_t byte_of(std::uint64_t value, unsigned index) noexcept {

@@ -159,8 +159,8 @@ namespace {
 
 // Jump/call operand: local label before assembly, absolute address after.
 [[nodiscard]] std::string target_str(const instruction& i) {
-    if (i.label != no_id) return "L" + std::to_string(i.label);
-    if (i.sym != no_id) return "sym" + std::to_string(i.sym);
+    if (i.label != no_id) return std::string{"L"}.append(std::to_string(i.label));
+    if (i.sym != no_id) return std::string{"sym"}.append(std::to_string(i.sym));
     return addr_str(i.imm);
 }
 
@@ -168,7 +168,7 @@ namespace {
 
 std::string to_string(const instruction& i) {
     std::ostringstream out;
-    auto r = [](reg x) { return "%" + reg_name(x); };
+    auto r = [](reg x) { return std::string{"%"}.append(reg_name(x)); };
     switch (i.op) {
         case opcode::nop: out << "nop"; break;
         case opcode::push_r: out << "push " << r(i.r1); break;

@@ -73,8 +73,10 @@ std::uint64_t machine::effective_address(const mem_operand& m) const noexcept {
     return addr;
 }
 
-bool machine::ld(std::uint64_t addr, std::size_t size, std::uint64_t& value,
-                 run_result& out) noexcept {
+// The interpreter's memory path. Defined inline (like the util byte
+// helpers they call) so the threaded loop makes no call per guest access.
+inline bool machine::ld(std::uint64_t addr, std::size_t size, std::uint64_t& value,
+                        run_result& out) noexcept {
     if (const std::uint8_t* p = mem_.try_at(addr, size)) [[likely]] {
         switch (size) {
             case 1: value = *p; break;
@@ -89,8 +91,8 @@ bool machine::ld(std::uint64_t addr, std::size_t size, std::uint64_t& value,
     return false;
 }
 
-bool machine::st(std::uint64_t addr, std::size_t size, std::uint64_t value,
-                 run_result& out) noexcept {
+inline bool machine::st(std::uint64_t addr, std::size_t size, std::uint64_t value,
+                        run_result& out) noexcept {
     if (std::uint8_t* p = mem_.try_at_mut(addr, size)) [[likely]] {
         switch (size) {
             case 1: *p = static_cast<std::uint8_t>(value); break;
@@ -106,14 +108,14 @@ bool machine::st(std::uint64_t addr, std::size_t size, std::uint64_t value,
     return false;
 }
 
-bool machine::push64(std::uint64_t value, run_result& out) noexcept {
+inline bool machine::push64(std::uint64_t value, run_result& out) noexcept {
     const std::uint64_t rsp = get(reg::rsp) - 8;
     if (!st(rsp, 8, value, out)) return false;
     set(reg::rsp, rsp);
     return true;
 }
 
-bool machine::pop64(std::uint64_t& value, run_result& out) noexcept {
+inline bool machine::pop64(std::uint64_t& value, run_result& out) noexcept {
     const std::uint64_t rsp = get(reg::rsp);
     if (!ld(rsp, 8, value, out)) return false;
     set(reg::rsp, rsp + 8);

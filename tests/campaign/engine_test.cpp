@@ -4,6 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <mutex>
+#include <random>
+#include <regex>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/engine.hpp"
 #include "util/json.hpp"
@@ -267,6 +275,113 @@ TEST(campaign_engine, ragged_last_blocks_identical_across_jobs_levels) {
             << "trials_per_cell=" << trials;
         ASSERT_EQ(serial.cells.size(), 1u);
         EXPECT_EQ(serial.cells[0].trials, trials);
+    }
+}
+
+// Skewed cells — a brute_force cell costing ~30x a leak_replay trial —
+// with a ragged last block per cell (70 = 64 + 6 trials), so threads that
+// claim single trials finish blocks in an order unrelated to the blocks'.
+campaign::campaign_spec skewed_spec() {
+    campaign::campaign_spec spec;
+    spec.schemes = {scheme_kind::ssp};
+    spec.attacks = {attack::attack_kind::brute_force,
+                    attack::attack_kind::leak_replay};
+    spec.targets = {workload::target_kind::nginx};
+    spec.trials_per_cell = 70;
+    spec.brute_unknown_bits = 6;
+    spec.master_seed = 4242;
+    spec.query_budget = 600;
+    return spec;
+}
+
+bool same_welford(const util::welford_accumulator& a,
+                  const util::welford_accumulator& b) {
+    const auto x = a.save();
+    const auto y = b.save();
+    return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+bool same_partial(const campaign::cell_partial& a, const campaign::cell_partial& b) {
+    return a.trials == b.trials && a.hijacks == b.hijacks &&
+           a.detections == b.detections &&
+           a.canary_detections == b.canary_detections &&
+           a.other_crashes == b.other_crashes && same_welford(a.queries, b.queries) &&
+           same_welford(a.queries_to_compromise, b.queries_to_compromise) &&
+           same_welford(a.leaked_bytes_valid, b.leaked_bytes_valid);
+}
+
+TEST(campaign_engine, skewed_cells_identical_at_every_jobs_level) {
+    auto spec = skewed_spec();
+    ASSERT_EQ(campaign::blocks_for(spec).size(), 4u);  // jobs 8 > blocks
+    spec.jobs = 1;
+    const auto serial = campaign::engine{spec}.run().to_json();
+    for (const unsigned jobs : {2u, 3u, 8u}) {
+        spec.jobs = jobs;
+        EXPECT_EQ(campaign::engine{spec}.run().to_json(), serial) << "jobs=" << jobs;
+    }
+}
+
+TEST(campaign_engine, shuffled_block_subset_yields_the_same_partials) {
+    auto spec = skewed_spec();
+    spec.jobs = 1;
+    const auto blocks = campaign::blocks_for(spec);
+    const auto all = campaign::engine{spec}.run_blocks(blocks);
+
+    std::vector<campaign::block_ref> subset{blocks[3], blocks[0], blocks[2]};
+    std::shuffle(subset.begin(), subset.end(), std::mt19937_64{9});
+    spec.jobs = 3;
+    const auto partials = campaign::engine{spec}.run_blocks(subset);
+    ASSERT_EQ(partials.size(), subset.size());
+    for (std::size_t i = 0; i < subset.size(); ++i)
+        EXPECT_TRUE(same_partial(partials[i], all[subset[i].index]))
+            << "block " << subset[i].index;
+}
+
+TEST(campaign_engine, progress_is_monotonic_and_ends_at_total) {
+    auto spec = skewed_spec();
+    spec.jobs = 3;
+    campaign::engine eng{spec};
+    std::mutex mutex;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> calls;
+    eng.set_progress([&](std::uint64_t done, std::uint64_t total) {
+        std::lock_guard lock{mutex};
+        calls.emplace_back(done, total);
+    });
+    (void)eng.run();
+    const std::uint64_t total = 2 * spec.trials_per_cell;
+    ASSERT_EQ(calls.size(), total);
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+        EXPECT_EQ(calls[i].first, i + 1);
+        EXPECT_EQ(calls[i].second, total);
+    }
+    EXPECT_EQ(calls.back(), std::make_pair(total, total));
+}
+
+TEST(campaign_engine, throwing_trial_fails_the_run_with_its_index) {
+    // unknown_bits == 0 makes every brute_force trial throw; the brute
+    // cell comes second, so its trials are [70, 140).
+    auto spec = skewed_spec();
+    spec.attacks = {attack::attack_kind::leak_replay, attack::attack_kind::brute_force};
+    spec.brute_unknown_bits = 0;
+    for (const unsigned jobs : {1u, 3u}) {
+        spec.jobs = jobs;
+        try {
+            (void)campaign::engine{spec}.run();
+            ADD_FAILURE() << "expected a failing trial, jobs=" << jobs;
+        } catch (const std::runtime_error& e) {
+            std::cmatch match;
+            const std::string what = e.what();
+            ASSERT_TRUE(std::regex_search(
+                what.c_str(), match,
+                std::regex{"^campaign::engine: trial ([0-9]+): brute_force: unknown_bits"}))
+                << what;
+            const auto g = std::stoull(match[1].str());
+            EXPECT_GE(g, 70u) << what;
+            EXPECT_LT(g, 140u) << what;
+            if (jobs == 1) {
+                EXPECT_EQ(g, 70u);
+            }
+        }
     }
 }
 

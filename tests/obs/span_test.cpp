@@ -117,7 +117,7 @@ TEST_F(obs_span, spans_from_multiple_threads_all_export) {
 
 TEST_F(obs_span, flight_record_is_bounded_and_newest_first_window) {
     for (int i = 0; i < 50; ++i)
-        obs::emit_span(("f" + std::to_string(i)).c_str(), "test",
+        obs::emit_span(std::string{"f"}.append(std::to_string(i)).c_str(), "test",
                        static_cast<std::uint64_t>(i) * 1000, 10);
     const auto doc = util::parse_json(obs::flight_record_json(/*max_spans=*/10));
     const auto& spans = doc.at("spans").elements();

@@ -1,7 +1,7 @@
-// The telemetry writer's line-atomicity contract: each JSONL line —
-// trailing newline included — goes down in a single write(2) on an
-// unbuffered fd, so a concurrent reader (campaign_query --follow, the
-// store tailer, tail -f) only ever observes complete lines. A reader
+// The telemetry writer's line-atomicity contract: a concurrent reader
+// that opens the file by name only ever observes complete lines — each
+// JSONL line, trailing newline included, is one in-page write(2) or
+// arrives with a rename when it would cross a page boundary. A reader
 // hammering the file while a writer appends must never see a torn line,
 // and every line it does see must be byte-for-byte the writer's output.
 
