@@ -15,8 +15,8 @@ using vm::xreg;
 
 namespace native {
 
-void stack_chk_fail_abort(vm::machine&) {
-    throw vm::native_trap{vm::trap_kind::stack_smash};
+void stack_chk_fail_abort(vm::machine& m) {
+    m.raise_trap(vm::trap_kind::stack_smash);
 }
 
 void aes_encrypt_128(vm::machine& m) {

@@ -40,7 +40,7 @@ void bind_instrumented_stack_chk_fail(binfmt::linked_binary& binary) {
         // Either a P-SSP frame was smashed, or an SSP-compiled epilogue
         // called in after its own mismatch (in which case rdi fails the
         // split-xor test with overwhelming probability). Both abort.
-        throw vm::native_trap{vm::trap_kind::stack_smash};
+        m.raise_trap(vm::trap_kind::stack_smash);
     });
 }
 

@@ -134,8 +134,31 @@ bool machine::jump_to(std::uint64_t addr, run_result& out) {
     return true;
 }
 
+// Shared by both engines, which enter it with rip_ on the call and the
+// counters reconciled, so the helper can observe and charge them.
+inline bool machine::call_native(const native_fn& fn, run_result& out) {
+    try {
+        fn(*this);
+    } catch (const mem_fault& fault) {
+        pending_trap_ = trap_kind::none;
+        out.status = exec_status::trapped;
+        out.trap = trap_kind::segfault;
+        out.fault_addr = fault.addr();
+        return false;
+    }
+    if (pending_trap_ != trap_kind::none) [[unlikely]] {
+        out.status = exec_status::trapped;
+        out.trap = pending_trap_;
+        out.fault_addr = current_address();
+        pending_trap_ = trap_kind::none;
+        return false;
+    }
+    return true;
+}
+
 void machine::call_function(std::uint64_t entry) {
     finished_valid_ = false;
+    pending_trap_ = trap_kind::none;
     set(reg::rsp, mem_.regions().stack_top - initial_stack_headroom);
     mem_.store64(get(reg::rsp) - 8, return_sentinel);
     set(reg::rsp, get(reg::rsp) - 8);
@@ -347,23 +370,9 @@ run_result machine::exec_one_switch(const cost_table& ct) {
             if (fl.native != nullptr) {
                 // Native helper: model the full call/ret round trip so the
                 // helper can observe a genuine frame (return address on the
-                // stack) while executing host-side. This is the only edge
-                // where exceptions still travel — helpers are arbitrary
-                // host code using the throwing memory API and native_trap.
+                // stack) while executing host-side.
                 if (!push64(fl.return_addr, out)) return out;
-                try {
-                    (*fl.native)(*this);
-                } catch (const mem_fault& fault) {
-                    out.status = exec_status::trapped;
-                    out.trap = trap_kind::segfault;
-                    out.fault_addr = fault.addr();
-                    return out;
-                } catch (const native_trap& trap) {
-                    out.status = exec_status::trapped;
-                    out.trap = trap.kind;
-                    out.fault_addr = current_address();
-                    return out;
-                }
+                if (!call_native(*fl.native, out)) return out;
                 std::uint64_t back;
                 if (!pop64(back, out)) return out;
                 if (back != fl.return_addr) {
@@ -994,19 +1003,7 @@ dispatch_top:
             cycles_ += cyc;
             cyc = 0;
             rip_ = ip;
-            try {
-                (*op->native)(*this);
-            } catch (const mem_fault& fault) {
-                out.status = exec_status::trapped;
-                out.trap = trap_kind::segfault;
-                out.fault_addr = fault.addr();
-                goto stop_terminal;
-            } catch (const native_trap& trap) {
-                out.status = exec_status::trapped;
-                out.trap = trap.kind;
-                out.fault_addr = current_address();
-                goto stop_terminal;
-            }
+            if (!call_native(*op->native, out)) goto stop_terminal;
             std::uint64_t back;
             if (!pop64(back, out)) goto stop_terminal;
             if (back != op->return_addr) {
@@ -1465,6 +1462,7 @@ void machine::copy_scalars_from(const machine& src) {
     if (output_ != src.output_) output_ = src.output_;
     finished_ = src.finished_;
     finished_valid_ = src.finished_valid_;
+    pending_trap_ = src.pending_trap_;
 }
 
 void machine::restore_from(const machine& snap) {

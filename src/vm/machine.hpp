@@ -20,14 +20,17 @@
 //   * switch_loop — the legacy per-instruction switch stepper, kept as the
 //     debug and differential-testing mode (public step()) and as the
 //     baseline of the dispatch A/B benchmark.
-// Both are exception- and hash-free: jump/call targets come pre-resolved
-// from program::finalize(), cycle costs from a flat per-opcode table, and
-// memory faults surface as trap statuses. The only exceptions on the run
-// path originate inside native helpers and are caught at the native-call
-// edge. Everything outcome-relevant — registers, flags, memory, output,
-// cycles_, steps_, rip, trap/fault state — is identical across engines at
-// every event boundary; campaign reports are byte-identical across
-// dispatch modes.
+// Jump/call targets come pre-resolved from program::finalize(); only ret,
+// and a native helper that rewrote its return address, resolve through
+// program::index_of (a hash lookup). Cycle costs come from a flat
+// per-opcode table and memory faults surface as trap statuses. A native
+// helper ends the guest with raise_trap(), which the native-call edge
+// turns into the trapped result; the one exception left on the run path
+// is mem_fault from the throwing memory API, which only the string stubs'
+// unmapped-range fallbacks raise. Everything outcome-relevant — registers,
+// flags, memory, output, cycles_, steps_, rip, trap/fault state — is
+// identical across engines at every event boundary; campaign reports are
+// byte-identical across dispatch modes.
 #pragma once
 
 #include <array>
@@ -68,15 +71,6 @@ struct run_result {
     std::int64_t exit_code = 0;       // valid when exited
     std::uint32_t syscall_number = 0; // valid when syscalled
     std::uint64_t fault_addr = 0;     // valid for segfault/invalid_jump
-};
-
-// Thrown by native helpers to terminate the simulated process — the host
-// analog of glibc's __GI__fortify_fail aborting on a smashed stack. The
-// interpreter converts it into a trapped run_result. Exceptions exist only
-// on the native-call edge: interpreter-level memory faults travel as
-// status returns, so the step loop runs without a try/catch.
-struct native_trap {
-    trap_kind kind = trap_kind::stack_smash;
 };
 
 // Cap on accumulated sys_write output. A hijacked or runaway worker under
@@ -145,6 +139,15 @@ class machine {
 
     // Resumes after a serviced syscall; `rax_value` is the syscall result.
     void complete_syscall(std::uint64_t rax_value);
+
+    // Ends the guest from inside a native helper — the host analog of
+    // glibc's __GI__fortify_fail aborting on a smashed stack. Records a
+    // pending trap and lets the helper return; the native-call edge of
+    // either engine then stops with a trapped run_result (fault_addr = the
+    // calling instruction) and clears the slot, so a machine at rest never
+    // carries one. Cycles the helper charged before raising are kept.
+    void raise_trap(trap_kind kind) noexcept { pending_trap_ = kind; }
+    [[nodiscard]] trap_kind pending_trap() const noexcept { return pending_trap_; }
 
     // ---- Execution profiling (obs side channel) ----
     // When set, run() counts per-handler dispatches and cycle charges into
@@ -235,6 +238,7 @@ class machine {
 
     run_result finished_{};  // sticky result once exited/trapped
     bool finished_valid_ = false;
+    trap_kind pending_trap_ = trap_kind::none;  // see raise_trap()
 
     // ---- Internal helpers ----
     [[nodiscard]] std::uint64_t effective_address(const mem_operand& m) const noexcept;
@@ -249,6 +253,10 @@ class machine {
     // Transfers control to `addr`; returns false (and fills `out`) on an
     // invalid target.
     [[nodiscard]] bool jump_to(std::uint64_t addr, run_result& out);
+    // Native-call edge: runs the helper bound to the current call. Returns
+    // false (and fills `out`) if it raised a trap or faulted on the
+    // throwing memory API.
+    [[nodiscard]] bool call_native(const native_fn& fn, run_result& out);
     // One instruction on the legacy switch engine (no fuel/bounds checks —
     // run_switch and step() wrap those).
     [[nodiscard]] run_result exec_one_switch(const cost_table& ct);

@@ -167,9 +167,11 @@ TEST(runtime, instrumented_stack_chk_fail_checks_packed_pair) {
     const auto handler = binary.natives.at(binary.symbols.at("__stack_chk_fail"));
     handler(m);  // must return normally with ZF set
     EXPECT_TRUE(m.flags().zf);
+    EXPECT_EQ(m.pending_trap(), vm::trap_kind::none);
 
     m.set(vm::reg::rdi, good.packed() ^ 0xff);  // corrupt one byte
-    EXPECT_THROW(handler(m), vm::native_trap);
+    handler(m);  // must raise the abort for the native-call edge
+    EXPECT_EQ(m.pending_trap(), vm::trap_kind::stack_smash);
 }
 
 }  // namespace

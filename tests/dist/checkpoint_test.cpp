@@ -20,6 +20,7 @@
 #include "campaign/engine.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/orchestrator.hpp"
+#include "dist/temp_dir.hpp"
 #include "obs/telemetry.hpp"
 
 namespace pssp {
@@ -79,7 +80,7 @@ dist::sharded_options checkpointed_options(const std::string& dir) {
     dist::sharded_options options;
     options.shards = 2;
     options.flight_recorder = false;
-    options.postmortem_dir = ::testing::TempDir();
+    options.postmortem_dir = testing_util::unique_temp_dir();
     options.checkpoint_dir = dir;
     return options;
 }

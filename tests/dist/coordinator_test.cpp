@@ -24,6 +24,7 @@
 #include "dist/chaos.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/orchestrator.hpp"
+#include "dist/temp_dir.hpp"
 #include "obs/registry.hpp"
 
 namespace pssp {
@@ -56,7 +57,7 @@ dist::sharded_options fleet_options(unsigned shards, unsigned workers) {
     dist::sharded_options options;
     options.shards = shards;
     options.flight_recorder = false;
-    options.postmortem_dir = ::testing::TempDir();
+    options.postmortem_dir = testing_util::unique_temp_dir();
     options.faults.max_attempts = 4;
     options.faults.backoff_base_seconds = 0.001;
     options.faults.backoff_cap_seconds = 0.01;

@@ -16,6 +16,7 @@
 
 #include "campaign/engine.hpp"
 #include "dist/orchestrator.hpp"
+#include "dist/temp_dir.hpp"
 #include "util/json.hpp"
 
 namespace pssp {
@@ -96,7 +97,7 @@ TEST(dist_orchestrator, crashed_worker_fails_the_run_loudly) {
     ::setenv("PSSP_CAMPAIGN_WORKER_CRASH", "2", /*overwrite=*/1);
     dist::sharded_options options;
     options.shards = 4;
-    options.postmortem_dir = ::testing::TempDir();
+    options.postmortem_dir = testing_util::unique_temp_dir();
     try {
         (void)dist::run_sharded(spec, options);
         ::unsetenv("PSSP_CAMPAIGN_WORKER_CRASH");
@@ -141,7 +142,7 @@ TEST(dist_orchestrator, crashed_adaptive_worker_names_the_round) {
     ::setenv("PSSP_CAMPAIGN_WORKER_CRASH", "1", /*overwrite=*/1);
     dist::sharded_options options;
     options.shards = 2;
-    options.postmortem_dir = ::testing::TempDir();
+    options.postmortem_dir = testing_util::unique_temp_dir();
     try {
         (void)dist::run_sharded(spec, options);
         ::unsetenv("PSSP_CAMPAIGN_WORKER_CRASH");

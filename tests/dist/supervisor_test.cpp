@@ -25,6 +25,7 @@
 #include "campaign/engine.hpp"
 #include "dist/chaos.hpp"
 #include "dist/orchestrator.hpp"
+#include "dist/temp_dir.hpp"
 #include "obs/registry.hpp"
 
 namespace pssp {
@@ -56,7 +57,7 @@ dist::sharded_options fast_options(unsigned shards) {
     dist::sharded_options options;
     options.shards = shards;
     options.flight_recorder = false;
-    options.postmortem_dir = ::testing::TempDir();
+    options.postmortem_dir = testing_util::unique_temp_dir();
     options.faults.backoff_base_seconds = 0.001;
     options.faults.backoff_cap_seconds = 0.01;
     return options;
